@@ -12,6 +12,8 @@
 // per-request loopback tax; deeper rows show how much of it pipelining
 // amortizes.  Latencies are client-side per wire request (send → matched
 // response).
+#include <sched.h>
+
 #include <atomic>
 #include <cstdint>
 #include <iostream>
@@ -49,11 +51,28 @@ struct SimCohortWp2x4 : CohortMwWriterPrefLock<> {
 
 using Server = serve::KvServer<SimCohortWp2x4>;
 
+// Whether the process may run on every CPU the simulated shape maps its
+// workers to (0 .. kNodes*kCpusPerNode-1).  On a narrower host node 1's
+// pins would fail while node 0's succeed, and rows flip between two
+// levels depending on where the unpinned workers land; such hosts run
+// every worker unpinned instead.
+bool shape_fits_host() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return false;
+  for (std::size_t cpu = 0; cpu < std::size_t{kNodes * kCpusPerNode}; ++cpu)
+    if (!CPU_ISSET(cpu, &set)) return false;
+  return true;
+}
+
 // burst = worker-side bulk-claim depth (0 = legacy per-item dispatch);
 // the net rows pair it with the front-end's staged submit_many, so one
 // epoll sweep publishes a batch and one bulk claim drains it.
 serve::ServeConfig server_config(std::size_t burst = 1) {
-  return serve::ServeConfig{}.with_workers(2).with_burst(burst);
+  return serve::ServeConfig{}
+      .with_workers(2)
+      .with_burst(burst)
+      .with_pin(shape_fits_host());
 }
 
 void preload(Server& server) {
@@ -171,7 +190,12 @@ void run(BenchContext& ctx) {
                "simulated " << kNodes << "x" << kCpusPerNode
             << " topology, 2 workers/node.  Same pre-generated request\n"
                "lists on every row; net rows add framing + loopback TCP + "
-               "the epoll loop.\n\n";
+               "the epoll loop.\n"
+            << (shape_fits_host()
+                    ? "Workers pinned: the host allows every CPU of the "
+                      "simulated shape.\n\n"
+                    : "Workers unpinned: the host does not allow every CPU "
+                      "of the simulated shape.\n\n");
   Table t({"config", "requests", "krps", "mops_per_s", "p50_us", "p99_us",
            "hits"});
   const net::LoadgenConfig cfg = mix_config(ctx, requests_per_conn);

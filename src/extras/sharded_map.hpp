@@ -134,7 +134,7 @@ class ShardedMap {
   // the table again (zipfian serving batches repeat the hot keys).
   // Serving-sized batches (<= kSmallBatch keys) are grouped in place with a
   // stack bitmask — no allocation beyond the result vector; larger batches
-  // fall back to per-shard index buckets.
+  // fall back to per-shard index buckets in reused thread-local scratch.
   std::vector<std::optional<Value>> get_many(
       int tid, const std::vector<Key>& keys) const {
     std::vector<std::optional<Value>> out(keys.size());
@@ -181,9 +181,7 @@ class ShardedMap {
         }
       }
     } else {
-      std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-      for (std::size_t i = 0; i < n; ++i)
-        by_shard[shard_index(keys[i])].push_back(i);
+      const auto& by_shard = group_by_shard(keys, n);
       for (std::size_t si = 0; si < by_shard.size(); ++si) {
         if (by_shard[si].empty()) continue;
         const Shard& s = *shards_[si];
@@ -290,11 +288,7 @@ class ShardedMap {
                                     std::size_t n) {
     if (n == 0) return 0;
     std::size_t erased = 0;
-    static thread_local std::vector<std::vector<std::size_t>> by_shard;
-    by_shard.resize(shards_.size());
-    for (auto& b : by_shard) b.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      by_shard[shard_index(keys[i])].push_back(i);
+    const auto& by_shard = group_by_shard(keys, n);
     for (std::size_t si = 0; si < by_shard.size(); ++si) {
       if (by_shard[si].empty()) continue;
       Shard& s = *shards_[si];
@@ -471,6 +465,20 @@ class ShardedMap {
   Shard& shard(const Key& key) { return *shards_[shard_index(key)]; }
   const Shard& shard(const Key& key) const {
     return *shards_[shard_index(key)];
+  }
+
+  // Buckets the indices of keys[0..n) by shard, in order, into per-thread
+  // scratch whose capacity persists across calls — the bulk paths group
+  // without allocating in the steady state.  Valid until the next call on
+  // this thread.
+  const std::vector<std::vector<std::size_t>>& group_by_shard(
+      const Key* keys, std::size_t n) const {
+    static thread_local std::vector<std::vector<std::size_t>> by_shard;
+    by_shard.resize(shards_.size());
+    for (auto& b : by_shard) b.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      by_shard[shard_index(keys[i])].push_back(i);
+    return by_shard;
   }
 
   Hash hash_;

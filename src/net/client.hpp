@@ -132,6 +132,9 @@ class KvClient {
       next_id_ = other.next_id_;
       out_ = std::move(other.out_);
       rbuf_ = std::move(other.rbuf_);
+      rhead_ = other.rhead_;
+      rtail_ = other.rtail_;
+      other.rhead_ = other.rtail_ = 0;
       jitter_ = other.jitter_;
       last_error_ = other.last_error_;
       retries_ = other.retries_;
@@ -143,9 +146,11 @@ class KvClient {
   KvClient(const KvClient&) = delete;
   KvClient& operator=(const KvClient&) = delete;
 
+  // Also drops any buffered response bytes: they belong to the old stream.
   void close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+    rhead_ = rtail_ = 0;
   }
   bool ok() const { return fd_ >= 0; }
 
@@ -406,23 +411,59 @@ class KvClient {
     return true;
   }
 
+  // Parses the next complete frame out of rbuf_, reading whatever the
+  // socket holds whenever the buffer lacks one — so a pipelined burst of
+  // responses costs one read per socket batch, not two reads per frame.
   bool recv_by(Response* resp, std::uint64_t deadline) {
     last_error_ = ClientError::kNone;
     if (fd_ < 0) {
       last_error_ = ClientError::kClosed;
       return false;
     }
-    std::uint8_t lenbuf[kFrameLenSize];
-    if (!read_exact(lenbuf, kFrameLenSize, deadline)) return false;
-    const std::uint32_t flen = (static_cast<std::uint32_t>(lenbuf[0]) << 24) |
-                               (static_cast<std::uint32_t>(lenbuf[1]) << 16) |
-                               (static_cast<std::uint32_t>(lenbuf[2]) << 8) |
-                               lenbuf[3];
-    if (flen < kHeaderSize || flen > kDefaultMaxFrame)
-      return fail(ClientError::kProtocol);
-    rbuf_.resize(flen);
-    if (!read_exact(rbuf_.data(), flen, deadline)) return false;
-    Unpacker u(rbuf_.data(), flen);
+    for (;;) {
+      const std::size_t avail = rtail_ - rhead_;
+      if (avail >= kFrameLenSize) {
+        const std::uint8_t* p = rbuf_.data() + rhead_;
+        const std::uint32_t flen = (static_cast<std::uint32_t>(p[0]) << 24) |
+                                   (static_cast<std::uint32_t>(p[1]) << 16) |
+                                   (static_cast<std::uint32_t>(p[2]) << 8) |
+                                   p[3];
+        if (flen < kHeaderSize || flen > kDefaultMaxFrame)
+          return fail(ClientError::kProtocol);
+        if (avail - kFrameLenSize >= flen) {
+          rhead_ += kFrameLenSize + flen;
+          return parse_frame(p + kFrameLenSize, flen, resp);
+        }
+      }
+      if (!fill_rbuf(deadline)) return false;
+    }
+  }
+
+  // Reads what is available (at least one byte, waiting within the op
+  // budget) onto the tail of rbuf_.  Consumed bytes are compacted away
+  // first; the buffer grows only when one frame outsizes it.
+  bool fill_rbuf(std::uint64_t deadline) {
+    if (rhead_ != 0) {
+      std::memmove(rbuf_.data(), rbuf_.data() + rhead_, rtail_ - rhead_);
+      rtail_ -= rhead_;
+      rhead_ = 0;
+    }
+    if (rtail_ == rbuf_.size())
+      rbuf_.resize(rbuf_.empty() ? kReadChunk : rbuf_.size() * 2);
+    for (;;) {
+      const ssize_t n =
+          transport_read(fd_, rbuf_.data() + rtail_, rbuf_.size() - rtail_);
+      if (n > 0) {
+        rtail_ += static_cast<std::size_t>(n);
+        return true;
+      }
+      if (!retry_io(n, POLLIN, deadline)) return false;
+    }
+  }
+
+  bool parse_frame(const std::uint8_t* body, std::uint32_t flen,
+                   Response* resp) {
+    Unpacker u(body, flen);
     MsgHeader h;
     ErrorCode err;
     if (!unpack_header(u, &h, &err)) return fail(ClientError::kProtocol);
@@ -481,21 +522,6 @@ class KvClient {
     return true;
   }
 
-  bool read_exact(std::uint8_t* dst, std::size_t len,
-                  std::uint64_t deadline) {
-    if (fd_ < 0) return false;
-    std::size_t off = 0;
-    while (off < len) {
-      const ssize_t n = transport_read(fd_, dst + off, len - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (!retry_io(n, POLLIN, deadline)) return false;
-    }
-    return true;
-  }
-
   // The shared convenience loop: submit-flush-recv with the retry policy.
   // `on_ok` consumes the kOk response; returns whether an attempt ended in
   // kOk.  A response whose id does not match (possible only after the
@@ -549,7 +575,11 @@ class KvClient {
   ClientConfig cfg_;
   std::uint64_t next_id_ = 1;
   PackBuffer out_;
+  // Received bytes: [rhead_, rtail_) are unparsed; size() is the capacity.
+  static constexpr std::size_t kReadChunk = 16 * 1024;
   std::vector<std::uint8_t> rbuf_;
+  std::size_t rhead_ = 0;
+  std::size_t rtail_ = 0;
   Xoshiro256 jitter_;
   ClientError last_error_ = ClientError::kNone;
   std::uint64_t retries_ = 0;

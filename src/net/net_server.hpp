@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "src/harness/fault.hpp"
+#include "src/harness/timing.hpp"
 #include "src/net/wire.hpp"
 #include "src/serve/request.hpp"
 #include "src/serve/server.hpp"
@@ -69,7 +70,6 @@ struct NetServerConfig {
   int backlog = 128;
   std::size_t max_frame = kDefaultMaxFrame;
   std::size_t slots_per_connection = 64;  // in-flight depth bound
-  int idle_poll_ms = 50;         // epoll timeout with nothing in flight
   // Frames parsed from one read batch are staged and published together
   // through KvServer::submit_many — one ring reservation per node per
   // batch instead of one per frame.  This caps the stage depth; 1 degrades
@@ -139,23 +139,27 @@ class NetServer {
   std::uint64_t protocol_errors() const {
     return proto_errors_.load(std::memory_order_relaxed);
   }
+  // Times the loop entered a blocking epoll_wait (see event_loop).
+  std::uint64_t loop_blocks() const {
+    return loop_blocks_.load(std::memory_order_relaxed);
+  }
 
   // Stops accepting, waits for every in-flight slot to resolve, flushes
   // what can be flushed, closes all connections, joins the loop thread.
   // Idempotent; the destructor calls it.  Stop the NetServer *before*
   // shutting down the KvServer — in-flight latches need its workers.
   void stop() {
-    if (!ok_) {
-      close_all_listener_fds();
-      return;
-    }
     bool expected = false;
-    if (stopping_.compare_exchange_strong(expected, true)) {
+    if (ok_ && stopping_.compare_exchange_strong(expected, true)) {
       const std::uint64_t one = 1;
       [[maybe_unused]] const ssize_t n =
           ::write(wake_fd_, &one, sizeof one);
     }
     if (loop_.joinable()) loop_.join();
+    // Only after the join: a spinning loop may see stopping_ and exit
+    // before the wake write above lands, so the loop must not close the
+    // fd that write targets.
+    close_all_listener_fds();
   }
 
  private:
@@ -230,17 +234,25 @@ class NetServer {
 
   // ---- the loop -------------------------------------------------------------
 
+  // Spin-then-block (DESIGN.md §10): the loop polls with timeout 0 while
+  // anything is in flight and for kIdleSpinNs after its last progress, and
+  // only then blocks with no timeout.  The window keeps a connection that
+  // sends at >= 1000 req/s from paying a blocked-thread wake per request;
+  // stop() writes the wake eventfd, so a blocked loop still wakes to stop.
+  static constexpr std::uint64_t kIdleSpinNs = 1'000'000;
+
   void event_loop() {
     std::vector<epoll_event> events(64);
+    std::uint64_t last_progress_ns = now_ns();
     for (;;) {
-      const bool busy = total_in_flight_ > 0;
-      if (stopping_.load(std::memory_order_acquire) && quiescent()) break;
-      const int timeout =
-          busy || stopping_.load(std::memory_order_relaxed)
-              ? 0
-              : cfg_.idle_poll_ms;
+      const bool stopping = stopping_.load(std::memory_order_acquire);
+      if (stopping && quiescent()) break;
+      const bool spin = total_in_flight_ > 0 || stopping ||
+                        now_ns() - last_progress_ns < kIdleSpinNs;
+      if (!spin) loop_blocks_.fetch_add(1, std::memory_order_relaxed);
       const int n = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()), timeout);
+                                 static_cast<int>(events.size()),
+                                 spin ? 0 : -1);
       bool progressed = false;
       for (int i = 0; i < n; ++i) {
         const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
@@ -257,17 +269,19 @@ class NetServer {
       }
       progressed |= sweep_completions();
       reap_closed();
-      // Single-core friendliness: when a poll cycle achieved nothing but
-      // latches are still pending, yield so the pinned workers that will
-      // resolve them actually get the CPU.
-      if (busy && !progressed) std::this_thread::yield();
+      // Single-core friendliness: a poll that achieved nothing yields, so
+      // the pinned workers that resolve pending latches get the CPU.
+      if (progressed) {
+        last_progress_ns = now_ns();
+      } else {
+        std::this_thread::yield();
+      }
     }
     // Shutdown: every slot has resolved (quiescent), responses that could
     // be flushed were flushed opportunistically by the sweep; close.
     for (auto& up : conns_)
       if (up && up->fd >= 0) ::close(up->fd);
     conns_.clear();
-    close_all_listener_fds();
   }
 
   bool quiescent() { return total_in_flight_ == 0; }
@@ -896,6 +910,7 @@ class NetServer {
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> proto_errors_{0};
+  std::atomic<std::uint64_t> loop_blocks_{0};
   std::size_t total_in_flight_ = 0;  // loop-thread only
   std::vector<std::unique_ptr<Connection>> conns_;  // loop-thread only
   // flush_staged scratch (loop-thread only), sized submit_batch once.

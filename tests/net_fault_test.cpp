@@ -3,11 +3,14 @@
 // replay bit-for-bit, reset offsets fire at the chosen byte, MSG_NOSIGNAL
 // keeps a dead peer from killing the process (the SIGPIPE regression),
 // short/split/coalesced/delayed I/O preserves end-to-end integrity, a
-// connection reset is survived by the client's reconnect path, and a hung
-// server costs the per-op budget instead of blocking forever.  The CI
+// connection reset is survived by the client's reconnect path, responses
+// that arrive together are parsed out of one read, and a hung server costs
+// the per-op budget instead of blocking forever.  The CI
 // stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,6 +44,33 @@ struct Loopback {
   static serve::ServeConfig server_config() {
     return serve::ServeConfig{}.with_workers(2);
   }
+};
+
+// A bare listener on 127.0.0.1:<ephemeral> standing in for a server that
+// answers only what the test writes by hand (port stays 0 on failure).
+struct RawListener {
+  int fd = -1;
+  std::uint16_t port = 0;
+  RawListener() {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+            0 ||
+        ::listen(fd, 8) != 0)
+      return;
+    socklen_t alen = sizeof addr;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen) == 0)
+      port = ntohs(addr.sin_port);
+  }
+  ~RawListener() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
 };
 
 // ---- injector unit tests (no sockets) ---------------------------------------
@@ -174,8 +204,6 @@ TEST(NetFault, ServerSurvivesPeerKilledMidWrite) {
 // ---- end-to-end integrity under injected faults ------------------------------
 
 TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
-  Loopback lb;
-  ASSERT_TRUE(lb.net.ok());
   FaultPlan plan;
   plan.seed = test_seed(0xFA);  // BJRW_TEST_SEED replays the schedule
   plan.short_read_prob = 0.6;
@@ -183,8 +211,13 @@ TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
   plan.min_chunk = 1;
   plan.delay_prob = 0.05;
   plan.delay_ns = 20'000;
+  // The injector outlives the server: the loop thread may still be inside
+  // the seam (accounting a send the client already read) when the test
+  // body ends, so the server must stop before the injector is destroyed.
   FaultInjector fi(plan);
   ScopedFaultInjection guard(fi);
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 10'000;  // faults slow ops down, never hang them
@@ -228,13 +261,13 @@ TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
 }
 
 TEST(NetFault, ConnectionResetAtOffsetIsSurvivedByReconnect) {
-  Loopback lb;
-  ASSERT_TRUE(lb.net.ok());
   FaultPlan plan;
   plan.seed = test_seed(0xCE);
   plan.reset_write_at = 100;  // every stream dies ~3 frames in
   FaultInjector fi(plan);
   ScopedFaultInjection guard(fi);
+  Loopback lb;  // declared after the injector, so it stops first
+  ASSERT_TRUE(lb.net.ok());
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 5'000;
@@ -254,30 +287,68 @@ TEST(NetFault, ConnectionResetAtOffsetIsSurvivedByReconnect) {
     ASSERT_EQ(c->get(k).value_or(0), k + 5) << "get " << k;
 }
 
+// ---- buffered receive: coalesced responses cost one read ---------------------
+
+TEST(NetFault, TwoResponsesInOneReadAreBothParsed) {
+  RawListener srv;
+  ASSERT_NE(srv.port, 0);
+  ClientConfig cfg;
+  cfg.op_timeout_ms = 5'000;
+  auto c = KvClient::connect(srv.port, cfg);
+  ASSERT_TRUE(c.has_value());
+  const int peer = ::accept(srv.fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  // Both frames leave in one send; wait until the client's kernel has
+  // acknowledged all of them, so its first read can see both.
+  PackBuffer out;
+  pack_get_resp(out, 7, /*found=*/true, 70);
+  pack_put_resp(out, 8);
+  ASSERT_EQ(::send(peer, out.data(), out.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(out.size()));
+  int unacked = 1;
+  for (int i = 0; i < 5'000 && unacked != 0; ++i) {
+    ASSERT_EQ(::ioctl(peer, SIOCOUTQ, &unacked), 0);
+    if (unacked != 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(unacked, 0);
+
+  // Every client transport call from here on is counted as one "delay".
+  FaultPlan plan;
+  plan.delay_prob = 1.0;
+  plan.delay_ns = 1;
+  FaultInjector fi(plan);
+  ScopedFaultInjection guard(fi);
+
+  Response a, b;
+  ASSERT_TRUE(c->recv_response(&a));
+  ASSERT_TRUE(c->recv_response(&b));
+  EXPECT_EQ(fi.delays(), 1u);  // one read carried both frames
+  EXPECT_EQ(a.id, 7u);
+  EXPECT_EQ(a.type, MsgType::kGetResp);
+  EXPECT_TRUE(a.found);
+  EXPECT_EQ(a.value, 70u);
+  EXPECT_EQ(b.id, 8u);
+  EXPECT_EQ(b.type, MsgType::kPutResp);
+  EXPECT_EQ(b.status, WireStatus::kOk);
+  ::close(peer);
+}
+
 // ---- hung server: the per-op budget bounds the wait --------------------------
 
 TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   // A listening socket whose backlog accepts the TCP handshake but which
   // never reads or answers: before per-op timeouts, KvClient::get blocked
   // in recv() indefinitely here.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof addr), 0);
-  ASSERT_EQ(::listen(lfd, 8), 0);
-  socklen_t alen = sizeof addr;
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
+  RawListener srv;
+  ASSERT_NE(srv.port, 0);
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 100;
   cfg.retry.max_attempts = 2;
   cfg.retry.base_backoff_ns = 0;
-  auto c = KvClient::connect(port, cfg);
+  auto c = KvClient::connect(srv.port, cfg);
   ASSERT_TRUE(c.has_value());
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -290,7 +361,6 @@ TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5'000);
-  ::close(lfd);
 }
 
 }  // namespace

@@ -284,6 +284,39 @@ TEST(ShardedMap, GetManyTakesEachShardLockOncePerBatch) {
   }
 }
 
+// The large-batch buckets are per-thread scratch shared by every map of the
+// same type: alternating maps of different shard counts on one thread must
+// neither leak one call's indices into the next nor lose the one-lock-
+// epoch-per-shard contract.
+TEST(ShardedMap, LargeBatchScratchIsResetBetweenCallsAndMaps) {
+  using Map = ShardedMap<std::uint64_t, std::uint64_t, CountingLock>;
+  Map wide(1, 8), narrow(1, 3);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    wide.put(0, k, k + 1);
+    narrow.put(0, k, k + 2);
+  }
+  const auto read_locks_taken = [](Map& m) {
+    std::uint64_t total = 0;
+    for (std::size_t s = 0; s < m.shard_count(); ++s)
+      total += m.shard_lock(s).read_locks.load(std::memory_order_relaxed);
+    return total;
+  };
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < 150; ++k) keys.push_back(k % 100);
+  for (int round = 0; round < 3; ++round) {
+    for (Map* m : {&wide, &narrow}) {
+      const std::uint64_t before = read_locks_taken(*m);
+      const auto got = m->get_many(0, keys);
+      EXPECT_EQ(read_locks_taken(*m) - before, m->shard_count());
+      const std::uint64_t bias = m == &wide ? 1 : 2;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(got[i].has_value());
+        EXPECT_EQ(*got[i], keys[i] + bias);
+      }
+    }
+  }
+}
+
 
 // --- lease / versioning (src/expiry/ integration surface) --------------------
 
